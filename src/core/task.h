@@ -2,17 +2,17 @@
 //
 // A probe body written as a Task<R> coroutine suspends exactly where its
 // transport parks (a stalled net::FaultyTransport stretch, surfaced through
-// net::ExchangeDriver) or where retry backoff sleeps — so an event loop can
-// multiplex thousands of in-flight probe sequences on one thread, advancing
-// a virtual clock past the parked stretches instead of spinning them.
+// net::ExchangeDriver) or where retry backoff sleeps, and its driver decides
+// how to service the park.
 //
 // Two drivers share every coroutine:
 //  - run_sync() services each park the moment it appears, which reproduces
 //    the blocking Transport::run behaviour round for round (same trace
 //    events, same ledger accounting) — the sync probe_* functions are
 //    run_sync over their *_task twins.
-//  - corpus::Reactor keeps many root tasks in flight, sleeping parked ones
-//    on a timer wheel (see src/corpus/reactor.h).
+//  - corpus::SiteTask drives a whole site's probe sequence as one root
+//    task, servicing each park at once and booking it into the report's
+//    park metrics.
 // One probe implementation, two drivers: the equivalence is by
 // construction, not by keeping two code paths in sync.
 #pragma once
@@ -214,7 +214,7 @@ class [[nodiscard]] AwaitExchange {
 };
 
 /// Pure virtual-clock sleep: retry backoff parks the task for @p rounds
-/// ticks on the reactor's timer wheel. Under run_sync the sleep is free —
+/// ticks. Under run_sync (and the scan driver) the sleep is free —
 /// simulated time costs a sequential driver nothing, matching the
 /// historical behaviour where backoff was only ever *booked*, never slept.
 struct ParkFor {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <thread>
 
-#include "corpus/reactor.h"
 #include "corpus/site_task.h"
 
 namespace h2r::corpus {
@@ -83,6 +82,29 @@ void ScanReport::merge(const ScanReport& other) {
   }
 }
 
+namespace {
+
+/// Drains the shared site cursor on the calling thread into @p r: each
+/// worker pulls the next unscanned site and drives its SiteTask to
+/// completion, servicing every park at once (simulated time is free to a
+/// blocking worker). The scratch is thread_local, so a thread that scans
+/// again — the caller is worker 0 of every call — starts with its client,
+/// engine, transport buffers, ring and fold scratch already sized.
+void scan_sites(const Population& population, const ScanOptions& options,
+                std::atomic<std::size_t>& cursor, ScanReport& r) {
+  thread_local SiteScratch scratch;
+  const std::size_t n = population.sites.size();
+  for (;;) {
+    const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    SiteTask task(population.sites[i], options, r, scratch);
+    while (!task.advance()) {
+    }
+  }
+}
+
+}  // namespace
+
 ScanReport scan_population(const Population& population,
                            const ScanOptions& options) {
   int threads = options.threads > 0
@@ -94,62 +116,17 @@ ScanReport scan_population(const Population& population,
       static_cast<std::size_t>(threads),
       std::max<std::size_t>(1, population.sites.size())));
 
-  const std::size_t n = population.sites.size();
+  // The caller is worker 0; only threads - 1 helpers are spawned.
   std::vector<ScanReport> partials(static_cast<std::size_t>(threads));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
   std::atomic<std::size_t> cursor{0};
-
-  if (options.event_loop) {
-    // Shard-per-worker: each worker owns one contiguous block of the site
-    // list and a reactor multiplexing its in-flight SiteTasks. No state is
-    // shared across shards, so the merge below is the only join point.
-    const std::size_t per =
-        (n + static_cast<std::size_t>(threads) - 1) /
-        static_cast<std::size_t>(threads);
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t begin =
-          std::min(n, static_cast<std::size_t>(t) * per);
-      const std::size_t end = std::min(n, begin + per);
-      pool.emplace_back([&, t, begin, end] {
-        Reactor reactor(
-            std::span<const SiteSpec>(population.sites.data() + begin,
-                                      end - begin),
-            options, partials[static_cast<std::size_t>(t)]);
-        reactor.run();
-        auto& gauge =
-            partials[static_cast<std::size_t>(t)].wire_metrics
-                .reactor_peak_in_flight;
-        gauge = std::max<std::uint64_t>(gauge, reactor.peak_in_flight());
-      });
-    }
-  } else {
-    // The historical sequential driver: each worker pulls the next
-    // unscanned site and drives its SiteTask to completion, servicing
-    // every park immediately (simulated time is free to a blocking
-    // worker). Same SiteTask, same probe coroutines — only the
-    // scheduling differs.
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        SiteScratch scratch;
-        ScanReport& r = partials[static_cast<std::size_t>(t)];
-        bool scanned = false;
-        for (;;) {
-          const std::size_t i = cursor.fetch_add(1);
-          if (i >= n) break;
-          scanned = true;
-          SiteTask task(population.sites[i], options, r, scratch);
-          while (!task.advance()) {
-          }
-        }
-        if (scanned) {
-          r.wire_metrics.reactor_peak_in_flight = std::max<std::uint64_t>(
-              r.wire_metrics.reactor_peak_in_flight, 1);
-        }
-      });
-    }
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(threads - 1));
+  for (std::size_t t = 1; t < partials.size(); ++t) {
+    helpers.emplace_back(
+        [&, t] { scan_sites(population, options, cursor, partials[t]); });
   }
-  for (auto& th : pool) th.join();
+  scan_sites(population, options, cursor, partials[0]);
+  for (auto& th : helpers) th.join();
 
   ScanReport total;
   total.epoch = population.epoch;

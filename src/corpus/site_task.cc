@@ -29,7 +29,7 @@ static_assert(core::needs_fresh_connection(ProbeKind::kWindowUpdateReactions));
 
 /// FNV-1a 64. Hashing the host (instead of the scan index) makes a site's
 /// fault stream a pure function of (fault_seed, host) — independent of
-/// H2R_THREADS, scan order, the scan driver, and the subsample scale.
+/// H2R_THREADS, scan order, and the subsample scale.
 std::uint64_t fnv1a64(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : s) {
@@ -104,11 +104,6 @@ bool SiteTask::advance() {
   return true;
 }
 
-int SiteTask::park_rounds() const {
-  return ctx_.waiting != nullptr ? ctx_.waiting->park_rounds()
-                                 : ctx_.park_rounds;
-}
-
 void SiteTask::book_wake(int parked) {
   ++wakeups_;
   parked_rounds_ += static_cast<std::uint64_t>(parked);
@@ -152,10 +147,10 @@ void SiteTask::finish() {
   r_.fault_deadline_hits += ledger_.deadline_hits;
   r_.fault_backoff_ms += ledger_.backoff_ms;
 
-  // Reactor observability. Parks are a property of the site's exchanges,
-  // not of the scheduler, so these fold identically for both drivers and
-  // any thread count. Only booked on faulted scans so clean-scan metric
-  // snapshots stay byte-identical to the historical ones.
+  // Park observability. Parks are a property of the site's exchanges, not
+  // of the scheduler, so these fold identically for any thread count. Only
+  // booked on faulted scans so clean-scan metric snapshots stay
+  // byte-identical to the historical ones.
   if (opts_.fault_injection) {
     r_.wire_metrics.reactor_parks += wakeups_;
     r_.wire_metrics.reactor_parked_rounds += parked_rounds_;
@@ -188,7 +183,9 @@ void SiteTask::finish() {
       scratch_.folder.rebind(family);
       trace::annotate_ring(scratch_.recorder, scratch_.tag_counts,
                            &scratch_.folder);
-      scratch_.folder.finish();
+      // Flush the last connection into the family registry and unbind
+      // from it: the thread_local scratch outlives this scan's report.
+      scratch_.folder.rebind(scratch_.site_metrics);
       for (const auto& [name, n] : scratch_.tag_counts) {
         family.add_violation(name, n);
       }

@@ -2,13 +2,10 @@
 // coroutine (core::Task), plus everything the site owns while in flight —
 // its Target, fault ledger, wiretap buffer, and sequence detector.
 //
-// Both scan drivers run SiteTasks. The sequential worker drives one task to
-// completion (advance() in a loop, servicing each park immediately); the
-// shard reactor (corpus/reactor.h) keeps many in flight and sleeps parked
-// ones on its timer wheel. The probe work, trace events, ledger accounting,
-// and report folds are identical either way — only the interleaving
-// differs, and every ScanReport aggregate is interleaving-independent
-// (asserted by tests/scan_reactor_test.cc).
+// The scan driver (corpus/scan.cc) drives each task to completion:
+// advance() in a loop, servicing each park at once. Parks still mark where
+// a stalled exchange or retry backoff would wait, and are booked into the
+// report's park metrics.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +24,12 @@
 
 namespace h2r::corpus {
 
-/// Reusable per-slot scratch: one wiretap buffer and one client/engine pair
-/// serve every site a sequential worker (or reactor slot) scans, rewound
-/// between sites instead of reallocated. The recorder is an unbounded
-/// binary ring (32 bytes per event, no per-event heap traffic). The default
+/// Reusable per-worker scratch: one wiretap buffer and one client/engine
+/// pair serve every site a scan worker scans, rewound between sites instead
+/// of reallocated. The driver keeps one thread_local SiteScratch per worker
+/// thread, so it also stays warm across scan_population calls made on the
+/// same thread. The recorder is an unbounded binary ring (32 bytes per
+/// event, no per-event heap traffic). The default
 /// metrics fold runs straight off the raw records (annotate_ring with a
 /// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
 /// only touched when the site's TraceEvents are actually needed (JSONL
@@ -42,12 +41,13 @@ struct SiteScratch {
   // Shared metrics fold. Each site rebind()s the folder onto its family
   // registry and folds straight into it — no per-site scratch registry to
   // re-zero, no per-site merge — while the folder's per-connection scratch
-  // vectors keep their capacity across the hundreds of sites one slot
-  // serves. site_metrics is only the folder's initial (never-folded-into)
-  // binding; the pointers never
-  // dangle: a SiteScratch lives on a worker's stack or behind a unique_ptr
-  // (reactor slots) and is never copied or moved, and family registries are
-  // std::map values with stable addresses.
+  // vectors keep their capacity across the sites one worker serves.
+  // site_metrics is the folder's (never-folded-into) binding between sites:
+  // each site rebinds the folder back onto it when it finishes, because the
+  // family registry lives in a ScanReport that may be gone before this
+  // thread's next site. So the pointers never dangle: a SiteScratch is
+  // never copied or moved, family registries are std::map values with
+  // stable addresses, and none is referenced after its site finishes.
   trace::MetricsRegistry site_metrics;
   trace::MetricsRecorder folder{site_metrics};
   core::SessionScratch session;
@@ -70,11 +70,8 @@ class SiteTask {
 
   /// Starts or resumes the probe sequence, servicing at most one park per
   /// call. Returns true once the site finished and folded into the report;
-  /// false means the task parked — park_rounds() says for how long.
+  /// false means the task parked.
   bool advance();
-  /// Virtual rounds until this task wants to run again; valid after an
-  /// advance() that returned false.
-  [[nodiscard]] int park_rounds() const;
 
  private:
   core::Task<void> run();   ///< the probe sequence (negotiation gate + probes)
@@ -91,8 +88,8 @@ class SiteTask {
   core::TaskContext ctx_;
   bool started_ = false;
   bool finished_ = false;
-  // Park observability, booked identically by both drivers (one wake per
-  // park serviced) and folded into ScanReport::wire_metrics at completion.
+  // Park observability (one wake per park serviced), folded into
+  // ScanReport::wire_metrics at completion.
   std::uint64_t wakeups_ = 0;
   std::uint64_t parked_rounds_ = 0;
   trace::Histogram park_hist_;

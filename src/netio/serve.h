@@ -14,7 +14,7 @@
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
 // safe; h2serve wires SIGINT/SIGTERM to it) stops the accept path, sends
 // GOAWAY on every live engine, and drains in-flight streams under a bounded
-// deadline kept on the same net::TimerWheel the scan reactor uses. Sockets
+// deadline kept on a net::TimerWheel. Sockets
 // that outlive the deadline are force-closed and counted.
 #pragma once
 

@@ -103,11 +103,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [tag, n] : other.violation_tags) violation_tags[tag] += n;
   reactor_parks += other.reactor_parks;
   reactor_parked_rounds += other.reactor_parked_rounds;
-  // A gauge, not a counter: the fleet-wide peak is the max over shards.
-  reactor_peak_in_flight =
-      reactor_peak_in_flight > other.reactor_peak_in_flight
-          ? reactor_peak_in_flight
-          : other.reactor_peak_in_flight;
   frame_size.merge(other.frame_size);
   stream_wire_bytes.merge(other.stream_wire_bytes);
   stall_span_events.merge(other.stall_span_events);
@@ -174,9 +169,7 @@ std::string MetricsRegistry::to_json() const {
     append_u64(out, trace_drops);
   }
   // Park bookkeeping comes from the site ledgers, so it is identical for
-  // every driver and thread count — safe to emit. The in-flight peak is
-  // not (it depends on shard sizes), so it stays out of the JSON snapshot
-  // entirely; to_text() reports it.
+  // every thread count — safe to emit.
   if (reactor_parks != 0 || wakeups_per_site.count() != 0) {
     out += ",\"reactor\":{\"parks\":";
     append_u64(out, reactor_parks);
@@ -255,14 +248,13 @@ std::string MetricsRegistry::to_text() const {
                   static_cast<unsigned long long>(trace_drops));
     out += buf;
   }
-  if (reactor_parks != 0 || reactor_peak_in_flight != 0) {
+  if (reactor_parks != 0) {
     std::snprintf(buf, sizeof buf,
-                  "  reactor: %llu parks over %llu rounds (mean park %.1f, "
-                  "mean wakeups/site %.1f), peak in-flight %llu\n",
+                  "  parks: %llu over %llu rounds (mean park %.1f, "
+                  "mean wakeups/site %.1f)\n",
                   static_cast<unsigned long long>(reactor_parks),
                   static_cast<unsigned long long>(reactor_parked_rounds),
-                  park_duration_rounds.mean(), wakeups_per_site.mean(),
-                  static_cast<unsigned long long>(reactor_peak_in_flight));
+                  park_duration_rounds.mean(), wakeups_per_site.mean());
     out += buf;
   }
   std::snprintf(buf, sizeof buf,

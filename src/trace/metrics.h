@@ -94,24 +94,19 @@ struct MetricsRegistry {
     }
   }
 
-  // Reactor observability (populated by faulted scans: the scan core books
-  // one park per stall stretch or retry backoff regardless of which driver
-  // — event-loop or sequential — serviced it, so these are sums a merge
-  // keeps independent of H2R_THREADS).
+  // Park observability (populated by faulted scans: the scan core books one
+  // park per stall stretch or retry backoff, so these are sums a merge
+  // keeps independent of H2R_THREADS). The JSON keeps its historical
+  // "reactor" block name.
   std::uint64_t reactor_parks = 0;         ///< times any site parked
   std::uint64_t reactor_parked_rounds = 0; ///< simulated rounds spent parked
-  /// Most sites simultaneously in flight on any one shard. Unlike every
-  /// other field this is a property of the run *shape* (thread count, shard
-  /// sizes), so merge() takes the max and to_json() never emits it —
-  /// snapshots stay byte-identical across H2R_THREADS. to_text() shows it.
-  std::uint64_t reactor_peak_in_flight = 0;
 
   Histogram frame_size;             ///< wire octets per frame, both directions
   Histogram stream_wire_bytes;      ///< wire octets per non-zero stream
   Histogram stall_span_events;      ///< stall->resume distance in trace events
   Histogram compression_ratio_pct;  ///< per-connection Equation-1 ratio x100
   Histogram park_duration_rounds;   ///< simulated rounds per individual park
-  Histogram wakeups_per_site;       ///< reactor wakeups each site needed
+  Histogram wakeups_per_site;       ///< park wakeups each site needed
 
   void merge(const MetricsRegistry& other);
   [[nodiscard]] std::uint64_t total_frames() const noexcept;
