@@ -20,12 +20,13 @@ Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
   sharded->opts_ = opts;
 
   const auto shard_sink = [&](std::size_t i) -> trace::Recorder* {
-    if (opts.base.recorder == nullptr) return nullptr;
+    trace::Recorder* sink = opts.base.recorder;
+    if (sink == nullptr || opts.shards == 1) return sink;
     while (sharded->shard_tapes_.size() <= i) {
-      // Unbounded tape: per-connection rings already bound memory, this
-      // only accumulates their flushed segments until the post-join merge.
+      // The sink keeps only its newest retention() records, and the merge
+      // is a concatenation, so each shard only needs its own newest ones.
       sharded->shard_tapes_.push_back(
-          std::make_unique<trace::RingRecorder>(0));
+          std::make_unique<trace::RingRecorder>(sink->retention()));
     }
     return sharded->shard_tapes_[i].get();
   };
@@ -147,14 +148,14 @@ Status ShardedServe::run() {
   if (acceptor.joinable()) acceptor.join();
 
   // Merge after every thread has quiesced, so nothing tears: stats are
-  // pure sums, trace tapes replay whole in shard order.
+  // pure sums, trace tapes replay whole in shard order, each carrying what
+  // it evicted as sink drops.
   merged_ = ServeStats{};
   for (const auto& shard : shards_) merged_.merge(shard->stats());
   merged_.merge(acceptor_stats_);
-  if (opts_.base.recorder != nullptr) {
-    for (const auto& tape : shard_tapes_) {
-      tape->replay_into(*opts_.base.recorder);
-    }
+  for (const auto& tape : shard_tapes_) {
+    opts_.base.recorder->skip_records(tape->drops(), tape->notes());
+    tape->replay_into(*opts_.base.recorder);
   }
   for (const Status& s : results) {
     if (!s.ok()) return s;

@@ -19,7 +19,11 @@
 // deadline. After the threads join, per-shard ServeStats merge by summation
 // and per-shard trace tapes replay whole, in shard order, into the caller's
 // sink — connection segments never interleave across shards, so the merged
-// trace is untorn.
+// trace is untorn. Each tape is a ring as long as the sink's retention(), and
+// what it evicted reaches the sink as drops, so no tape holds more than the
+// sink keeps and the merged trace is the one unbounded tapes would give.
+// With one shard there is no tape: shard 0 records straight into the
+// caller's sink.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +91,10 @@ class ShardedServe {
   void accept_some();
 
   std::vector<std::unique_ptr<ServeLoop>> shards_;
-  /// Per-shard private trace sinks (unbounded tapes), replayed into
-  /// opts_.base.recorder in shard order after the join. Sized to shards_
-  /// when the caller supplied a sink, empty otherwise.
+  /// Per-shard private trace sinks, each bounded to the final sink's
+  /// retention(), replayed into opts_.base.recorder in shard order after the
+  /// join. Sized to shards_ when the caller supplied a sink to more than
+  /// one shard, empty otherwise.
   std::vector<std::unique_ptr<trace::RingRecorder>> shard_tapes_;
   ShardedServeOptions opts_;
   std::uint16_t port_ = 0;

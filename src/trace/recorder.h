@@ -109,6 +109,21 @@ class Recorder {
     on_record(next_seq_++, rec, note);
   }
 
+  /// Accounts for @p n records that were recorded on another tape and
+  /// evicted there before it replays into this sink: numbering moves past
+  /// them, and a ring counts them in drops(). @p notes is that tape's note
+  /// table (every note it ever saw, first-seen order); a ring interns it so
+  /// its own table reads as if the evicted records had arrived. Exact when
+  /// the tape's survivors follow and number at least retention() — they
+  /// evict whatever this ring held before the skip.
+  virtual void skip_records(std::uint64_t n, const StringTable& notes) {
+    (void)notes;
+    next_seq_ += n;
+  }
+
+  /// How many of the newest records this sink keeps; 0 = all of them.
+  [[nodiscard]] virtual std::size_t retention() const noexcept { return 0; }
+
   /// Attaches a virtual clock; events record now_ms() from then on.
   void set_clock(const net::VirtualClock* clock) noexcept { clock_ = clock; }
 
@@ -151,7 +166,13 @@ class RingRecorder : public Recorder {
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
-  /// Records evicted by the bounded ring since the last clear().
+  [[nodiscard]] std::size_t retention() const noexcept override {
+    return capacity_;
+  }
+  /// Every note interned since the last clear(), evicted records' included.
+  [[nodiscard]] const StringTable& notes() const noexcept { return notes_; }
+  /// Records evicted by the bounded ring, or skipped past with
+  /// skip_records(), since the last clear().
   [[nodiscard]] std::uint64_t drops() const noexcept { return dropped_; }
   /// Sequence number of the oldest retained record (0 until a drop).
   [[nodiscard]] std::uint64_t first_seq() const noexcept { return dropped_; }
@@ -184,6 +205,14 @@ class RingRecorder : public Recorder {
   /// Appends the binary dump format (see serialize() in recorder.cc for
   /// the layout) to @p out.
   void serialize(std::string& out) const;
+
+  void skip_records(std::uint64_t n, const StringTable& notes) override {
+    Recorder::skip_records(n, notes);
+    for (std::uint32_t ref = 1; ref < notes.size(); ++ref) {
+      notes_.intern(notes.at(ref));
+    }
+    dropped_ += n;
+  }
 
   /// Drops every retained record, the note table, and the drop counter,
   /// and restarts numbering: a cleared ring's trace is indistinguishable

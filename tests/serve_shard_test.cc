@@ -280,6 +280,64 @@ TEST(ShardedServe, DrainSendsGoawayOnEveryShardAndMergesTraceUntorn) {
   }
 }
 
+// ------------------------------------------------------ bounded sink merge
+
+/// A sink that keeps 256 records while each shard records thousands: the
+/// shard tapes are bounded to the same 256, and what they evicted must still
+/// be carried into the sink's numbering and drops.
+void serve_into_bounded_sink(unsigned shards) {
+  constexpr std::size_t kKeep = 256;
+  trace::RingRecorder sink(kKeep);
+  netio::ShardedServeOptions opts;
+  opts.base.profile_key = "nginx";
+  opts.base.recorder = &sink;
+  opts.shards = shards;
+  opts.force_accept_fallback = true;  // connection i lands on shard i % N
+  ShardedRunner runner(opts);
+  ASSERT_TRUE(runner.serve);
+
+  netio::LoadOptions load;
+  load.port = runner.serve->port();
+  load.connections = 8;
+  load.requests = 2000;
+  load.streams = 4;
+  const netio::LoadReport report = netio::run_load(load);
+  EXPECT_EQ(report.completed, 2000u);
+  EXPECT_EQ(report.total_errors(), 0u);
+  runner.stop();
+
+  // Every request leaves at least its c2s HEADERS and s2c HEADERS + DATA on
+  // a tape, so far more than the 2 x 256 that survive reach the numbering.
+  const netio::ServeStats& stats = runner.serve->stats();
+  EXPECT_GE(sink.events_recorded(), 3u * 2000u + 8u);
+  EXPECT_EQ(sink.size(), kKeep);
+  EXPECT_EQ(sink.drops() + sink.size(), sink.events_recorded());
+  // h2serve exports per-connection drops plus sink drops: every record the
+  // connections made except the ones the sink kept.
+  const std::uint64_t total = stats.trace_drops + sink.events_recorded();
+  EXPECT_EQ(stats.trace_drops + sink.drops(), total - kKeep);
+
+  std::string bytes;
+  sink.serialize(bytes);
+  std::vector<trace::TraceEvent> parsed;
+  std::uint64_t drops = 0;
+  std::string error;
+  ASSERT_TRUE(trace::parse_trace_bin(bytes, parsed, drops, error)) << error;
+  EXPECT_EQ(drops, sink.drops());
+  ASSERT_EQ(parsed.size(), kKeep);
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].seq, sink.drops() + i);
+  }
+}
+
+TEST(ShardedServe, BoundedSinkBoundsShardTapesAndCarriesTheirDrops) {
+  serve_into_bounded_sink(2);
+}
+
+TEST(ShardedServe, OneShardRecordsStraightIntoABoundedSink) {
+  serve_into_bounded_sink(1);
+}
+
 // --------------------------------------------------- wire-behaviour parity
 
 /// The single-ServeLoop-equivalent reference: one GET served in-process.

@@ -7,7 +7,10 @@
 // across machines.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/report.h"
 #include "corpus/population.h"
@@ -18,6 +21,7 @@
 #include "trace/event.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
+#include "util/rng.h"
 
 namespace h2r::trace {
 namespace {
@@ -157,6 +161,89 @@ TEST(RingRecorder, ReplayIntoPreservesTimeAndRestampsSequence) {
   EXPECT_EQ(sink.events()[2].time_ms, 14.75);
   EXPECT_EQ(sink.events()[2].note, "n");
   EXPECT_EQ(sink.events()[2].detail_a, 2u);
+}
+
+/// A seeded record stream: connection markers with labels (some seen once,
+/// so they can live only in evicted records), frames with occasional notes
+/// from a small vocabulary, and arbitrary timestamps.
+std::vector<std::pair<WireRecord, std::string>> seeded_stream(
+    std::size_t n, std::uint64_t seed) {
+  static constexpr const char* kVocab[] = {"", "", "", "NO_ERROR",
+                                           "PROTOCOL_ERROR", "fault:stall"};
+  Rng rng(seed);
+  std::vector<std::pair<WireRecord, std::string>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    WireRecord rec;
+    rec.time_bits = rng.next_u64();
+    rec.stream_id = static_cast<std::uint32_t>(rng.next_below(64));
+    rec.wire_length = static_cast<std::uint32_t>(rng.next_below(1 << 16));
+    rec.detail_a = static_cast<std::uint32_t>(rng.next_u64());
+    std::string note;
+    if (rng.next_below(9) == 0) {
+      rec.kind = static_cast<std::uint8_t>(EventKind::kConnectionStart);
+      note = "conn-" + std::to_string(rng.next_below(n / 4 + 1));
+    } else {
+      rec.kind = static_cast<std::uint8_t>(EventKind::kFrame);
+      rec.frame_type = static_cast<std::uint8_t>(rng.next_below(10));
+      note = kVocab[rng.next_below(std::size(kVocab))];
+    }
+    out.emplace_back(rec, std::move(note));
+  }
+  return out;
+}
+
+TEST(RingRecorder, RetentionReportsCapacityAndZeroForUnbounded) {
+  EXPECT_EQ(RingRecorder(7).retention(), 7u);
+  EXPECT_EQ(RingRecorder().retention(), 0u);
+  EXPECT_EQ(VectorRecorder().retention(), 0u);
+}
+
+TEST(RingRecorder, BoundedSegmentTapesMergeToTheDirectSinksBytes) {
+  for (const std::size_t capacity : {0u, 1u, 7u, 4096u}) {
+    // Segment sizes below, equal to and above the capacity (an unbounded
+    // capacity gets small, middling and large segments instead).
+    const std::size_t sizes[] = {capacity == 0 ? 5 : capacity / 2,
+                                 capacity == 0 ? 64 : capacity,
+                                 capacity == 0 ? 300 : 2 * capacity + 3};
+    for (std::size_t segments = 1; segments <= 4; ++segments) {
+      for (std::size_t shift = 0; shift < std::size(sizes); ++shift) {
+        std::vector<std::size_t> cut;
+        std::size_t total = 0;
+        for (std::size_t j = 0; j < segments; ++j) {
+          cut.push_back(sizes[(shift + j) % std::size(sizes)]);
+          total += cut.back();
+        }
+        const auto stream = seeded_stream(total, 31 * segments + shift);
+
+        RingRecorder direct(capacity);
+        for (const auto& [rec, note] : stream) direct.replay_record(rec, note);
+
+        RingRecorder merged(capacity);
+        std::size_t at = 0;
+        for (const std::size_t len : cut) {
+          RingRecorder tape(merged.retention());
+          for (std::size_t i = at; i < at + len; ++i) {
+            tape.replay_record(stream[i].first, stream[i].second);
+          }
+          at += len;
+          merged.skip_records(tape.drops(), tape.notes());
+          tape.replay_into(merged);
+        }
+
+        const std::string where = "capacity " + std::to_string(capacity) +
+                                  " segments " + std::to_string(segments) +
+                                  " shift " + std::to_string(shift);
+        EXPECT_EQ(merged.events_recorded(), direct.events_recorded()) << where;
+        EXPECT_EQ(merged.drops(), direct.drops()) << where;
+        EXPECT_EQ(merged.size() + merged.drops(), total) << where;
+        std::string want;
+        std::string got;
+        direct.serialize(want);
+        merged.serialize(got);
+        EXPECT_EQ(got, want) << where;
+      }
+    }
+  }
 }
 
 TEST(MetricsRegistry, TraceDropsMergeAndConditionalExport) {
