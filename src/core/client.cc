@@ -230,32 +230,30 @@ void ClientConnection::send_settings(
 
 void ClientConnection::receive(std::span<const std::uint8_t> bytes) {
   if (dead_) return;
-  parser_.feed(bytes);
-  while (auto next = parser_.next_view()) {
-    if (!next->ok()) {
-      // Surface the evidence, not just "parse error": the parser knows
-      // which frame (stream offset + type octet) poisoned the stream.
-      terminal_.state = ClientTerminal::kProtocolError;
-      terminal_.status = next->status();
-      if (const auto& ctx = parser_.error_context(); ctx.has_value()) {
-        terminal_.byte_offset = ctx->frame_offset;
-        terminal_.frame_type = ctx->frame_type;
-        terminal_.frame_type_known = ctx->type_known;
-      }
-      if (options_.recorder != nullptr) {
-        options_.recorder->record(
-            {.dir = trace::Direction::kServerToClient,
-             .kind = trace::EventKind::kParseError,
-             .frame_type = terminal_.frame_type,
-             .detail_a = static_cast<std::uint32_t>(terminal_.byte_offset),
-             .detail_b = terminal_.frame_type_known ? 1u : 0u,
-             .note = next->status().message()});
-      }
-      dead_ = true;
-      return;
-    }
-    on_frame(next->value());
+  const Status parsed = parser_.drain(bytes, [this](const h2::FrameView& view) {
+    on_frame(view);
+    return true;
+  });
+  if (parsed.ok()) return;
+  // Surface the evidence, not just "parse error": the parser knows which
+  // frame (stream offset + type octet) poisoned the stream.
+  terminal_.state = ClientTerminal::kProtocolError;
+  terminal_.status = parsed;
+  if (const auto& ctx = parser_.error_context(); ctx.has_value()) {
+    terminal_.byte_offset = ctx->frame_offset;
+    terminal_.frame_type = ctx->frame_type;
+    terminal_.frame_type_known = ctx->type_known;
   }
+  if (options_.recorder != nullptr) {
+    options_.recorder->record(
+        {.dir = trace::Direction::kServerToClient,
+         .kind = trace::EventKind::kParseError,
+         .frame_type = terminal_.frame_type,
+         .detail_a = static_cast<std::uint32_t>(terminal_.byte_offset),
+         .detail_b = terminal_.frame_type_known ? 1u : 0u,
+         .note = parsed.message()});
+  }
+  dead_ = true;
 }
 
 void ClientConnection::close(h2::ErrorCode code) {

@@ -204,11 +204,25 @@ std::optional<Result<FrameView>> FrameParser::next_view() {
   }
   const std::span<const std::uint8_t> avail{buf_.data() + consumed_,
                                             buf_.size() - consumed_};
-  if (avail.size() < kFrameHeaderSize) return std::nullopt;
-
+  FrameView view;
   // Stream offset of the frame header we are about to read: everything fed
   // minus what is still unparsed in front of us.
-  const std::uint64_t frame_offset = fed_total_ - avail.size();
+  switch (parse_front(avail, fed_total_ - avail.size(), view)) {
+    case Front::kIncomplete:
+      return std::nullopt;
+    case Front::kPoisoned:
+      return Result<FrameView>{*poisoned_};
+    case Front::kFrame:
+      break;
+  }
+  consumed_ += kFrameHeaderSize + view.payload_wire_octets;
+  return Result<FrameView>{view};
+}
+
+FrameParser::Front FrameParser::parse_front(
+    std::span<const std::uint8_t> avail, std::uint64_t offset,
+    FrameView& view) {
+  if (avail.size() < kFrameHeaderSize) return Front::kIncomplete;
 
   ByteReader header(avail.first(kFrameHeaderSize));
   const std::uint32_t length = header.read_u24().value();
@@ -218,27 +232,45 @@ std::optional<Result<FrameView>> FrameParser::next_view() {
 
   if (length > max_frame_size_) {
     poisoned_ = FrameSizeViolationError("frame exceeds SETTINGS_MAX_FRAME_SIZE");
-    error_context_ = ParseErrorContext{frame_offset, type, true};
-    return Result<FrameView>{*poisoned_};
+    error_context_ = ParseErrorContext{offset, type, true};
+    return Front::kPoisoned;
   }
-  if (avail.size() < kFrameHeaderSize + length) return std::nullopt;
+  if (avail.size() < kFrameHeaderSize + length) return Front::kIncomplete;
 
-  const auto payload = avail.subspan(kFrameHeaderSize, length);
-  consumed_ += kFrameHeaderSize + length;
-
-  auto parsed = parse_view(type, flagbits, stream_id, payload);
+  Status parsed = parse_view(type, flagbits, stream_id,
+                             avail.subspan(kFrameHeaderSize, length), view);
   if (!parsed.ok()) {
-    poisoned_ = parsed.status();
-    error_context_ = ParseErrorContext{frame_offset, type, true};
+    poisoned_ = std::move(parsed);
+    error_context_ = ParseErrorContext{offset, type, true};
+    return Front::kPoisoned;
   }
-  return parsed;
+  return Front::kFrame;
 }
 
-Result<FrameView> FrameParser::parse_view(std::uint8_t type,
-                                          std::uint8_t flagbits,
-                                          std::uint32_t stream_id,
-                                          std::span<const std::uint8_t> payload) {
-  FrameView v;
+std::span<const std::uint8_t> FrameParser::top_up(
+    std::span<const std::uint8_t> bytes) {
+  const auto take_until = [&](std::size_t frame_octets) {
+    const std::size_t held = buf_.size() - consumed_;
+    const std::size_t n =
+        std::min(frame_octets - std::min(frame_octets, held), bytes.size());
+    buf_.insert(buf_.end(), bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    bytes = bytes.subspan(n);
+  };
+  take_until(kFrameHeaderSize);
+  if (buf_.size() - consumed_ < kFrameHeaderSize) return bytes;
+  ByteReader header({buf_.data() + consumed_, kFrameHeaderSize});
+  const std::uint32_t length = header.read_u24().value();
+  // An oversized frame is refused from its header alone: take no payload.
+  if (length <= max_frame_size_) take_until(kFrameHeaderSize + length);
+  return bytes;
+}
+
+Status FrameParser::parse_view(std::uint8_t type, std::uint8_t flagbits,
+                               std::uint32_t stream_id,
+                               std::span<const std::uint8_t> payload,
+                               FrameView& v) {
+  v = FrameView{};
   v.raw_type = type;
   v.flags = flagbits;
   v.stream_id = stream_id;
@@ -248,7 +280,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
     case FrameType::kData: {
       H2R_ASSIGN_OR_RETURN(v.body,
                            strip_padding(payload, flagbits & flags::kPadded));
-      return v;
+      return {};
     }
     case FrameType::kHeaders: {
       H2R_ASSIGN_OR_RETURN(auto body,
@@ -261,7 +293,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
         v.priority = read_priority_info(r);
       }
       v.body = body.subspan(r.position());
-      return v;
+      return {};
     }
     case FrameType::kPriority: {
       if (payload.size() != 5) {
@@ -269,7 +301,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
       }
       ByteReader r(payload);
       v.priority = read_priority_info(r);
-      return v;
+      return {};
     }
     case FrameType::kRstStream: {
       if (payload.size() != 4) {
@@ -277,7 +309,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
       }
       ByteReader r(payload);
       v.error = static_cast<ErrorCode>(r.read_u32().value());
-      return v;
+      return {};
     }
     case FrameType::kSettings: {
       if (payload.size() % 6 != 0) {
@@ -287,7 +319,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
         return FrameSizeViolationError("SETTINGS ACK with payload");
       }
       v.body = payload;
-      return v;
+      return {};
     }
     case FrameType::kPushPromise: {
       H2R_ASSIGN_OR_RETURN(auto body,
@@ -298,14 +330,14 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
       ByteReader r(body);
       v.promised_stream_id = r.read_u32().value() & kStreamIdMask;
       v.body = body.subspan(r.position());
-      return v;
+      return {};
     }
     case FrameType::kPing: {
       if (payload.size() != kPingPayloadSize) {
         return FrameSizeViolationError("PING length != 8");
       }
       v.body = payload;
-      return v;
+      return {};
     }
     case FrameType::kGoaway: {
       if (payload.size() < 8) {
@@ -315,7 +347,7 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
       v.last_stream_id = r.read_u32().value() & kStreamIdMask;
       v.error = static_cast<ErrorCode>(r.read_u32().value());
       v.body = payload.subspan(r.position());
-      return v;
+      return {};
     }
     case FrameType::kWindowUpdate: {
       if (payload.size() != 4) {
@@ -323,17 +355,17 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
       }
       ByteReader r(payload);
       v.increment = r.read_u32().value() & kStreamIdMask;
-      return v;
+      return {};
     }
     case FrameType::kContinuation: {
       v.body = payload;
-      return v;
+      return {};
     }
   }
   // §4.1: unknown types must be ignored; we surface them tagged so a caller
   // can choose to skip.
   v.body = payload;
-  return v;
+  return {};
 }
 
 Frame materialize(const FrameView& view) {

@@ -1,13 +1,19 @@
 // Frame <-> bytes conversion (RFC 7540 §4.1-4.2, §6).
 //
-// `serialize_frame` is pure. `FrameParser` is incremental: feed it arbitrary
-// byte chunks (as a transport delivers them) and poll complete frames out.
+// `serialize_frame` is pure. `FrameParser` is incremental: hand it arbitrary
+// byte chunks (as a transport delivers them) and take complete frames out.
 // Violations that RFC 7540 defines as connection errors (oversized frames,
 // malformed fixed-size payloads, bad padding) surface as error Results.
+//
+// Two entry points share one frame walker. `drain()` parses frames where
+// the delivery already lies and copies only a frame that straddles its end;
+// the endpoints use it. `feed()` + `next()`/`next_view()` copy every octet
+// into the parser first, so callers may hand over temporaries and poll later.
 #pragma once
 
 #include <deque>
 #include <optional>
+#include <utility>
 
 #include "h2/frame.h"
 #include "h2/frame_view.h"
@@ -60,17 +66,33 @@ class FrameParser {
   /// Appends transport bytes to the internal reassembly buffer.
   void feed(std::span<const std::uint8_t> bytes);
 
+  /// Parses @p bytes in place, calling `on_view(const FrameView&)` for each
+  /// complete frame in stream order. A view, and every span derived from
+  /// it, aliases @p bytes (or the parser's buffer for a frame that began in
+  /// an earlier delivery) and is valid only inside that callback; the
+  /// caller's bytes are not referenced once drain() returns.
+  ///
+  /// Only the octets of a trailing partial frame are copied, and the next
+  /// call tops that frame up with exactly its missing octets before going
+  /// on in place, so between calls the parser holds at most one partial
+  /// frame. When `on_view` returns false (the endpoint died) the unparsed
+  /// rest is kept, as feed() would keep it. Returns OK, or the status that poisons the
+  /// stream: the same status, error_context() and fed_total() as feeding
+  /// the same bytes and polling next_view() until it fails.
+  template <typename OnView>
+  Status drain(std::span<const std::uint8_t> bytes, OnView&& on_view);
+
   /// Extracts the next complete frame.
   /// - nullopt: need more bytes.
   /// - Result with error: stream is poisoned (connection error); subsequent
   ///   calls keep returning the same error.
   [[nodiscard]] std::optional<Result<Frame>> next();
 
-  /// Zero-copy variant of next(): validates the frame in place and returns
+  /// Non-owning variant of next(): validates the frame in place and returns
   /// a FrameView whose `body` aliases the internal buffer. The view (and
   /// any spans derived from it) is valid only until the next call to
-  /// feed(), next() or next_view(). Error semantics are identical to
-  /// next(): the same inputs poison the stream with the same status.
+  /// feed(), drain(), next() or next_view(). Error semantics are identical
+  /// to next(): the same inputs poison the stream with the same status.
   [[nodiscard]] std::optional<Result<FrameView>> next_view();
 
   /// Raises the acceptable frame size (after the peer ACKs our SETTINGS).
@@ -88,10 +110,24 @@ class FrameParser {
   }
 
  private:
-  [[nodiscard]] Result<FrameView> parse_view(std::uint8_t type,
-                                             std::uint8_t flagbits,
-                                             std::uint32_t stream_id,
-                                             std::span<const std::uint8_t> payload);
+  enum class Front : std::uint8_t { kIncomplete, kFrame, kPoisoned };
+
+  /// The one frame walker: validates the frame at the front of @p avail,
+  /// whose first octet is stream offset @p offset, into @p view. An error
+  /// poisons the parser and records its ParseErrorContext.
+  [[nodiscard]] Front parse_front(std::span<const std::uint8_t> avail,
+                                  std::uint64_t offset, FrameView& view);
+
+  /// Moves from the front of @p bytes into buf_ exactly the octets that
+  /// the buffered partial frame still lacks (its header first, then, if
+  /// the length is acceptable, its payload). Returns the rest of @p bytes.
+  std::span<const std::uint8_t> top_up(std::span<const std::uint8_t> bytes);
+
+  /// Validates one frame's payload and decodes it into @p view.
+  [[nodiscard]] Status parse_view(std::uint8_t type, std::uint8_t flagbits,
+                                  std::uint32_t stream_id,
+                                  std::span<const std::uint8_t> payload,
+                                  FrameView& view);
 
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_ = 0;  // bytes of buf_ already parsed
@@ -100,5 +136,44 @@ class FrameParser {
   std::optional<Status> poisoned_;
   std::optional<ParseErrorContext> error_context_;
 };
+
+template <typename OnView>
+Status FrameParser::drain(std::span<const std::uint8_t> bytes,
+                         OnView&& on_view) {
+  fed_total_ += bytes.size();
+  if (poisoned_) return *poisoned_;
+  FrameView view;
+  // Frames held from earlier deliveries come first: top the partial one up
+  // from the front of this delivery, then walk the rest in place.
+  while (consumed_ < buf_.size()) {
+    bytes = top_up(bytes);
+    const std::span<const std::uint8_t> held(buf_.data() + consumed_,
+                                             buf_.size() - consumed_);
+    switch (parse_front(held, fed_total_ - bytes.size() - held.size(), view)) {
+      case Front::kIncomplete:
+        return OkStatus();  // top_up took every octet
+      case Front::kPoisoned:
+        return *poisoned_;
+      case Front::kFrame:
+        break;
+    }
+    consumed_ += kFrameHeaderSize + view.payload_wire_octets;
+    if (!on_view(std::as_const(view))) {
+      buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+      return OkStatus();
+    }
+  }
+  consumed_ = 0;
+  for (;;) {
+    const Front front = parse_front(bytes, fed_total_ - bytes.size(), view);
+    if (front == Front::kIncomplete) break;
+    if (front == Front::kPoisoned) return *poisoned_;
+    bytes = bytes.subspan(kFrameHeaderSize + view.payload_wire_octets);
+    if (!on_view(std::as_const(view))) break;
+  }
+  // The straddling tail, or the unparsed rest after an early stop.
+  buf_.assign(bytes.begin(), bytes.end());
+  return OkStatus();
+}
 
 }  // namespace h2r::h2

@@ -1,15 +1,21 @@
 // Non-owning view of one parsed frame (RFC 7540 §4.1-4.2, §6).
 //
-// `FrameParser::next_view()` validates a frame in place and returns a
-// FrameView whose `body` span aliases the parser's reassembly buffer:
-// small fixed fields (priority info, error codes, window increments) are
-// decoded eagerly, variable-length payloads (DATA bytes, header-block
-// fragments, GOAWAY debug data) stay where the transport wrote them. The
-// engine and client consume frames through this path so a 512 KiB DATA
-// frame costs a span, not a heap copy. `materialize()` converts a view
-// into the classic owning `Frame` — bit-identical to what
-// `FrameParser::next()` has always produced — for callers that must keep
-// the frame beyond the view's lifetime (event logs, tests).
+// `FrameParser::drain()` and `FrameParser::next_view()` validate a frame in
+// place and hand out a FrameView: small fixed fields (priority info, error
+// codes, window increments) are decoded eagerly, variable-length payloads
+// (DATA bytes, header-block fragments, GOAWAY debug data) stay where they
+// lie. With drain(), which the engine and client use, that is the
+// transport's own delivery buffer (or the parser's buffer for the one frame
+// that straddled two deliveries), so a 512 KiB DATA frame costs a span, not
+// a heap copy. With next_view() it is the parser's reassembly buffer.
+// `materialize()` converts a view into the classic owning `Frame` —
+// bit-identical to what `FrameParser::next()` has always produced — for
+// callers that must keep the frame beyond the view's lifetime (event logs,
+// tests).
+//
+// Lifetime rule: a view and every span taken from it are valid only inside
+// the drain() callback that received it, or until the parser's next
+// feed()/drain()/next()/next_view() call for a view from next_view().
 #pragma once
 
 #include <optional>
@@ -26,11 +32,12 @@ struct FrameView {
   /// Payload length field from the 9-octet header — the flow-controlled
   /// size for DATA, including any padding that `body` has stripped.
   std::uint32_t payload_wire_octets = 0;
-  /// Type-specific variable-length payload, unpadded, aliasing the parse
-  /// buffer: DATA bytes, HEADERS/PUSH_PROMISE/CONTINUATION header-block
-  /// fragment (after the fixed prefix), raw SETTINGS entries, PING opaque
-  /// octets, GOAWAY debug data, or an unknown frame's payload. Valid only
-  /// until the parser's next feed()/next()/next_view() call.
+  /// Type-specific variable-length payload, unpadded, aliasing the bytes
+  /// the frame was parsed from: DATA bytes, HEADERS/PUSH_PROMISE/
+  /// CONTINUATION header-block fragment (after the fixed prefix), raw
+  /// SETTINGS entries, PING opaque octets, GOAWAY debug data, or an unknown
+  /// frame's payload. Valid only as long as the view (see the lifetime
+  /// rule above).
   std::span<const std::uint8_t> body;
 
   std::optional<PriorityInfo> priority;   ///< PRIORITY, HEADERS+PRIORITY

@@ -248,33 +248,33 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
     ++preface_matched_;
     ++offset;
   }
-  parser_.feed(bytes.subspan(offset));
-
-  while (auto next = parser_.next_view()) {
-    if (!next->ok()) {
-      if (recorder_ != nullptr) {
-        recorder_->record({.dir = trace::Direction::kClientToServer,
-                           .kind = trace::EventKind::kParseError,
-                           .note = next->status().message()});
-      }
-      const auto code = next->status().code() == StatusCode::kFrameSizeError
-                            ? ErrorCode::kFrameSizeError
-                            : ErrorCode::kProtocolError;
-      connection_error(code, next->status().message());
-      return;
+  const Status parsed =
+      parser_.drain(bytes.subspan(offset), [this](const h2::FrameView& view) {
+        ++frames_received_;
+        if (record_received_ && recorder_ != nullptr) {
+          recorder_->record_frame(trace::Direction::kClientToServer, view,
+                                  h2::kFrameHeaderSize +
+                                      view.payload_wire_octets);
+        }
+        if (profile_->mitigation.enabled) mitigation_on_frame(view);
+        on_frame(view);
+        if (dead_) return false;
+        if (profile_->mitigation.enabled) mitigation_check();
+        return !dead_;
+      });
+  if (!parsed.ok()) {
+    if (recorder_ != nullptr) {
+      recorder_->record({.dir = trace::Direction::kClientToServer,
+                         .kind = trace::EventKind::kParseError,
+                         .note = parsed.message()});
     }
-    ++frames_received_;
-    if (record_received_ && recorder_ != nullptr) {
-      recorder_->record_frame(
-          trace::Direction::kClientToServer, next->value(),
-          h2::kFrameHeaderSize + next->value().payload_wire_octets);
-    }
-    if (profile_->mitigation.enabled) mitigation_on_frame(next->value());
-    on_frame(next->value());
-    if (dead_) return;
-    if (profile_->mitigation.enabled) mitigation_check();
-    if (dead_) return;
+    const auto code = parsed.code() == StatusCode::kFrameSizeError
+                          ? ErrorCode::kFrameSizeError
+                          : ErrorCode::kProtocolError;
+    connection_error(code, parsed.message());
+    return;
   }
+  if (dead_) return;
   pump();
 }
 
