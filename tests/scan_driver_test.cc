@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +125,100 @@ TEST(ScanReactor, StallStormCompletesWithoutSpinning) {
   const ScanReport s = scan_population(pop, single);
   EXPECT_EQ(fingerprint(s), fingerprint(r));
   EXPECT_EQ(s.wire_metrics.to_json(), r.wire_metrics.to_json());
+}
+
+/// The JSON object under "reactor" in a wire-metrics snapshot, braces
+/// included; empty when the snapshot has no reactor block.
+std::string reactor_block(const std::string& json) {
+  const std::string key = "\"reactor\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size();
+  int depth = 0;
+  for (std::size_t i = begin; i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}' && --depth == 0) {
+      return json.substr(begin, i - begin + 1);
+    }
+  }
+  return {};
+}
+
+/// The fingerprint line that starts with @p prefix, without its newline.
+std::string fingerprint_line(const std::string& print,
+                             const std::string& prefix) {
+  const std::size_t at = print.find("\n" + prefix);
+  if (at == std::string::npos) return {};
+  const std::size_t end = print.find('\n', at + 1);
+  return print.substr(at + 1, end - at - 1);
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct ParkGolden {
+  const char* reactor;
+  const char* outcomes;
+  const char* faults;
+  std::uint64_t digest;  ///< FNV-1a 64 of fingerprint + wire-metrics JSON
+};
+
+void expect_golden(const ScanReport& r, const ParkGolden& golden) {
+  const std::string print = fingerprint(r);
+  const std::string json = r.wire_metrics.to_json();
+  EXPECT_EQ(reactor_block(json), golden.reactor);
+  EXPECT_EQ(fingerprint_line(print, "outcomes="), golden.outcomes);
+  EXPECT_EQ(fingerprint_line(print, "faults="), golden.faults);
+  EXPECT_EQ(fnv1a64(print + json), golden.digest)
+      << "0x" << std::hex << fnv1a64(print + json);
+  // Retries happened, so their backoff parks are part of what is pinned.
+  EXPECT_GT(r.fault_retries, 0u);
+}
+
+// Pins the faulted scan's park accounting and outcome classes to literal
+// values, so a change in how parks are serviced or booked (exchange stalls
+// as well as retry backoff) shows up as a diff, not only as a mismatch
+// between two thread counts of the same build.
+TEST(ScanReactor, FaultedParkAccountingIsGolden) {
+  const Population pop = generate_population(Epoch::kExp2, 7, /*scale=*/1000);
+  ScanOptions faulted;
+  faulted.fault_injection = true;
+  faulted.threads = 2;
+  expect_golden(scan_population(pop, faulted),
+                {.reactor = R"({"parks":103,"parked_rounds":3599,)"
+                             R"("park_duration_rounds":{"count":103,)"
+                             R"("sum":3599,"mean":34.942,)"
+                             R"("log2_buckets":[0,6,16,11,0,0,70]},)"
+                             R"("wakeups_per_site":{"count":82,"sum":103,)"
+                             R"("mean":1.256,"log2_buckets":[31,22,24,4,1]}})",
+                 .outcomes = "outcomes=38,32,5,7,0",
+                 .faults = "faults=1786,119,70,0,0x1.b58p+11",
+                 .digest = 0xa580ce4aea0b9fc5ull});
+}
+
+TEST(ScanReactor, StormParkAccountingIsGolden) {
+  const Population pop = generate_population(Epoch::kExp2, 7, /*scale=*/1000);
+  ScanOptions storm;
+  storm.fault_injection = true;
+  storm.fault_floor = 0.97;
+  storm.wiretap_metrics = true;
+  storm.threads = 2;
+  expect_golden(scan_population(pop, storm),
+                {.reactor = R"({"parks":378,"parked_rounds":12372,)"
+                             R"("park_duration_rounds":{"count":378,)"
+                             R"("sum":12372,"mean":32.730,)"
+                             R"("log2_buckets":[0,25,47,68,0,0,238]},)"
+                             R"("wakeups_per_site":{"count":82,"sum":378,)"
+                             R"("mean":4.610,"log2_buckets":[15,3,5,48,11]}})",
+                 .outcomes = "outcomes=16,4,28,34,0",
+                 .faults = "faults=2177,596,238,0,0x1.73ep+13",
+                 .digest = 0x60d1b289ee3f3b8bull});
 }
 
 }  // namespace
