@@ -158,10 +158,6 @@ H2cProbeResult probe_h2c_upgrade(const Target& target) {
 // ----------------------------------------------------------------- settings
 
 SettingsProbeResult probe_settings(const Target& target) {
-  return run_sync(probe_settings_task(target));
-}
-
-Task<SettingsProbeResult> probe_settings_task(const Target& target) {
   SettingsProbeResult out;
   // Clients are constructed first throughout the suite so the wiretap's
   // connection-start marker precedes the server's preface frames.
@@ -169,7 +165,7 @@ Task<SettingsProbeResult> probe_settings_task(const Target& target) {
   auto server = target.make_server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
 
   out.settings_entry_count = client.server_settings_entry_count();
   const auto& s = client.server_settings();
@@ -183,7 +179,7 @@ Task<SettingsProbeResult> probe_settings_task(const Target& target) {
     out.headers_received = true;
     out.server_header = std::string(hpack::find_header(*headers, "server"));
   }
-  co_return out;
+  return out;
 }
 
 // ------------------------------------------------------------- multiplexing
@@ -253,23 +249,18 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
 
 DataFrameControlResult probe_data_frame_control(const Target& target,
                                                 std::uint32_t sframe) {
-  return run_sync(probe_data_frame_control_task(target, sframe));
-}
-
-Task<DataFrameControlResult> probe_data_frame_control_task(
-    const Target& target, std::uint32_t sframe) {
   DataFrameControlResult out;
   ClientConnection client(target.client_options(with_initial_window(sframe)));
   auto server = target.make_server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
 
   out.headers_received = client.response_headers(sid).has_value();
   const auto data = client.frames_of(FrameType::kData, sid);
   if (data.empty()) {
     out.outcome = SmallWindowOutcome::kNoResponse;
-    co_return out;
+    return out;
   }
   out.first_data_size = data.front()->header_block_size;
   if (out.first_data_size == sframe) {
@@ -279,34 +270,24 @@ Task<DataFrameControlResult> probe_data_frame_control_task(
   } else {
     out.outcome = SmallWindowOutcome::kOversized;
   }
-  co_return out;
+  return out;
 }
 
 ZeroWindowHeadersResult probe_zero_window_headers(const Target& target) {
-  return run_sync(probe_zero_window_headers_task(target));
-}
-
-Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
-    const Target& target) {
   ZeroWindowHeadersResult out;
   ClientConnection client(target.client_options(with_initial_window(0)));
   auto server = target.make_server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   out.headers_received = client.response_headers(sid).has_value();
   for (const auto* ev : client.frames_of(FrameType::kData, sid)) {
     if (ev->header_block_size != 0) out.data_received = true;
   }
-  co_return out;
+  return out;
 }
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
-  return run_sync(probe_window_update_reactions_task(target));
-}
-
-Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
-    const Target& target) {
   WindowUpdateProbeResult out;
 
   {  // zero increment, stream scope — on a stream mid-response
@@ -316,9 +297,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     auto server = target.make_server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     client.send_window_update(sid, 0);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.zero_on_stream = classify_update_reaction(client, sid, &out.zero_debug_data);
   }
   {  // zero increment, connection scope
@@ -326,7 +307,7 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     auto server = target.make_server();
     auto transport = target.make_transport();
     client.send_window_update(0, 0);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.zero_on_connection = classify_update_reaction(client, std::nullopt);
   }
   {  // overflowing increments, stream scope (two halves summing past 2^31-1)
@@ -336,10 +317,10 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     auto server = target.make_server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     client.send_window_update(sid, kHalfWindow);
     client.send_window_update(sid, kHalfWindow);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.large_on_stream = classify_update_reaction(client, sid);
   }
   {  // overflowing increments, connection scope
@@ -350,19 +331,15 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     (void)sid;
     client.send_window_update(0, kHalfWindow);
     client.send_window_update(0, kHalfWindow);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.large_on_connection = classify_update_reaction(client, std::nullopt);
   }
-  co_return out;
+  return out;
 }
 
 // ----------------------------------------------------------------- priority
 
 PriorityProbeResult probe_priority_mechanism(const Target& target) {
-  return run_sync(probe_priority_mechanism_task(target));
-}
-
-Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target) {
   // Huge stream windows so only the connection window gates DATA; no
   // automatic connection window updates, so draining it blocks the server.
   ClientOptions opts = with_initial_window(kHugeWindow);
@@ -371,30 +348,23 @@ Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target) {
   ClientConnection client(target.client_options(opts));
   auto server = target.make_server();
   auto transport = target.make_transport();  // one connection, six exchanges
-  co_return co_await run_priority_rounds_task(client, server, *transport,
-                                              target.limits);
+  return run_priority_rounds(client, server, *transport, target.limits);
 }
 
 PriorityProbeResult run_priority_rounds(ClientConnection& client,
                                         server::Http2Server& server,
                                         net::Transport& transport,
                                         const net::ExchangeLimits& limits) {
-  return run_sync(run_priority_rounds_task(client, server, transport, limits));
-}
-
-Task<PriorityProbeResult> run_priority_rounds_task(
-    ClientConnection& client, server::Http2Server& server,
-    net::Transport& transport, net::ExchangeLimits limits) {
   PriorityProbeResult out;
 
   // Step 1 (Algorithm 1 lines 2-21): drain the connection window.
   const std::uint32_t drain = client.send_request("/object/0");  // 64 KiB
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
   if (client.data_received(drain) != h2::kDefaultInitialWindowSize) {
-    co_return out;  // context preparation failed; verdict unreliable
+    return out;  // context preparation failed; verdict unreliable
   }
   client.send_rst_stream(drain, ErrorCode::kCancel);
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   // Step 2 (lines 22-28): six requests with the Table I dependency tree...
   auto prio = [](std::uint32_t dep, bool excl = false) {
@@ -407,7 +377,7 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   const std::uint32_t d = client.send_request("/object/4", prio(a));
   const std::uint32_t e = client.send_request("/object/5", prio(b));
   const std::uint32_t f = client.send_request("/object/6", prio(d));
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
   out.headers_during_zero_window =
       client.response_headers(a).has_value();
 
@@ -416,11 +386,11 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   client.send_priority(d, prio(0));
   client.send_priority(a, prio(d, /*excl=*/true));
   client.send_priority(e, prio(c));
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   // Step 3 (line 29-30): reopen the connection window and observe order.
   client.send_window_update(0, 0x7FFF'0000u);
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   const std::vector<std::uint32_t> all = {a, b, c, d, e, f};
   std::map<std::uint32_t, std::size_t> first, last;
@@ -432,7 +402,7 @@ Task<PriorityProbeResult> run_priority_rounds_task(
     last[sid] = ev.sequence;
   }
   for (std::uint32_t sid : all) {
-    if (!client.stream_complete(sid)) co_return out;  // ran stays false
+    if (!client.stream_complete(sid)) return out;  // ran stays false
   }
   out.ran = true;
 
@@ -447,15 +417,10 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   out.pass_by_first_data = check(first);
   out.pass_by_last_data = check(last);
   out.pass_by_both = out.pass_by_first_data && out.pass_by_last_data;
-  co_return out;
+  return out;
 }
 
 SelfDependencyProbeResult probe_self_dependency(const Target& target) {
-  return run_sync(probe_self_dependency_task(target));
-}
-
-Task<SelfDependencyProbeResult> probe_self_dependency_task(
-    const Target& target) {
   SelfDependencyProbeResult out;
   ClientOptions opts;
   opts.auto_stream_window_update = false;  // keep the stream alive
@@ -464,20 +429,15 @@ Task<SelfDependencyProbeResult> probe_self_dependency_task(
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/large/0");
   client.send_priority(sid, {.dependency = sid, .weight_field = 0});
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   out.reaction = classify_update_reaction(client, sid);
-  co_return out;
+  return out;
 }
 
 // --------------------------------------------------------------------- push
 
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page) {
-  return run_sync(probe_server_push_task(target, page));
-}
-
-Task<PushProbeResult> probe_server_push_task(const Target& target,
-                                             std::string page) {
   PushProbeResult out;
   ClientOptions opts;
   opts.settings = {{SettingId::kEnablePush, 1}};  // §III-D: opt in explicitly
@@ -485,25 +445,21 @@ Task<PushProbeResult> probe_server_push_task(const Target& target,
   auto server = target.make_server();
   auto transport = target.make_transport();
   client.send_request(page);
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   for (const auto& [promised_id, request] : client.pushes()) {
     out.pushed_paths.emplace_back(hpack::find_header(request, ":path"));
     out.pushed_bytes += client.data_received(promised_id);
   }
   out.push_received = !out.pushed_paths.empty();
-  co_return out;
+  return out;
 }
 
 // -------------------------------------------------------------------- hpack
 
 HpackProbeResult probe_hpack_ratio(const Target& target, int h,
                                    const std::string& path) {
-  return run_sync(probe_hpack_ratio_task(target, h, path));
-}
-
-Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
-                                              std::string path) {
   HpackProbeResult out;
+  if (h < 1) return out;  // Equation 1 needs S_1; ran stays false
   ClientConnection client(target.client_options());
   auto server = target.make_server();
   auto transport = target.make_transport();
@@ -512,11 +468,11 @@ Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
     // Sequential requests so each response block sees the dynamic table
     // state left by the previous one (§III-E).
     streams.push_back(client.send_request(path));
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
   }
   for (std::uint32_t sid : streams) {
     const auto headers = client.frames_of(FrameType::kHeaders, sid);
-    if (headers.empty()) co_return out;  // ran stays false
+    if (headers.empty()) return out;  // ran stays false
     out.header_sizes.push_back(headers.front()->header_block_size);
   }
   const double s1 = static_cast<double>(out.header_sizes.front());
@@ -524,7 +480,7 @@ Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
   for (std::size_t s : out.header_sizes) sum += static_cast<double>(s);
   out.ratio = sum / (s1 * static_cast<double>(h));
   out.ran = true;
-  co_return out;
+  return out;
 }
 
 // --------------------------------------------------------------------- ping

@@ -7,6 +7,11 @@
 // one shared connection per site; these free functions remain both the
 // fresh-connection path and the reference the coalesced scheduler must
 // match observation-for-observation.
+//
+// Each probe is one plain function over Transport::run. On a faulted
+// transport, run() skips a stalled stretch in one step and books it as a
+// park on the target's ExchangeLedger; probe_with_retry books its backoff
+// the same way. The scan reads its park metrics from that ledger.
 #pragma once
 
 #include <array>
@@ -18,7 +23,6 @@
 #include <memory>
 
 #include "core/client.h"
-#include "core/task.h"
 #include "h2/constants.h"
 #include "net/alpn.h"
 #include "net/path.h"
@@ -139,6 +143,10 @@ struct Target {
 /// backoff booked into the target's ledger) whenever the attempt hit a
 /// transport fault or deadline. Returns the last attempt's result. With no
 /// ledger or no faults this collapses to a single plain call.
+///
+/// Backoff is simulated time: nothing sleeps. Each backoff of at least one
+/// whole round is booked as a park on the ledger (ExchangeLedger::
+/// note_park), next to the stall parks Transport::run skips inline.
 template <typename Fn>
 auto probe_with_retry(const Target& target, const RetryPolicy& policy,
                       Fn&& fn) {
@@ -156,31 +164,8 @@ auto probe_with_retry(const Target& target, const RetryPolicy& policy,
     // again on fresh connections (the failed attempt's flags are dropped —
     // only the final attempt's outcome classifies the site).
     ledger->note_retry(backoff);
-    backoff *= policy.backoff_multiplier;
-  }
-}
-
-/// probe_with_retry for coroutine probes: @p make_task builds a fresh
-/// Task<R> per attempt. Identical bookkeeping to the sync wrapper, plus the
-/// backoff *parks* the task (ParkFor) so an event loop can run other sites
-/// while this one backs off — under run_sync the park is free, so the two
-/// wrappers stay result- and ledger-identical.
-template <typename Fn>
-auto probe_with_retry_task(const Target& target, RetryPolicy policy,
-                           Fn make_task)
-    -> Task<typename std::invoke_result_t<Fn&>::value_type> {
-  net::ExchangeLedger* ledger = target.ledger;
-  double backoff = policy.backoff_base_ms;
-  for (int attempt = 1;; ++attempt) {
-    if (ledger != nullptr) ledger->begin_attempt();
-    auto result = co_await make_task();
-    if (ledger == nullptr || !ledger->attempt_faulted() ||
-        attempt >= policy.max_attempts) {
-      if (ledger != nullptr) ledger->settle_attempt();
-      co_return result;
-    }
-    ledger->note_retry(backoff);
-    co_await ParkFor{static_cast<int>(backoff)};
+    const int rounds = static_cast<int>(backoff);
+    if (rounds > 0) ledger->note_park(rounds);
     backoff *= policy.backoff_multiplier;
   }
 }
@@ -223,15 +208,6 @@ struct SettingsProbeResult {
 };
 
 SettingsProbeResult probe_settings(const Target& target);
-
-/// Every probe the scan runs per site also exists as a *_task coroutine:
-/// the same body with each Transport::run rewritten as co_await
-/// AwaitExchange, so a faulted transport's stall parks the whole probe
-/// sequence instead of spinning its pump. The sync function is
-/// run_sync(*_task(...)) — one implementation, two drivers. Probes the
-/// scan doesn't multiplex (multiplexing, concurrency, ping, h2c) keep
-/// plain sync bodies; Transport::run services parks inline for them.
-Task<SettingsProbeResult> probe_settings_task(const Target& target);
 
 // ------------------------------------------------------------ multiplexing
 
@@ -276,8 +252,6 @@ struct DataFrameControlResult {
 
 DataFrameControlResult probe_data_frame_control(const Target& target,
                                                 std::uint32_t sframe = 1);
-Task<DataFrameControlResult> probe_data_frame_control_task(
-    const Target& target, std::uint32_t sframe = 1);
 
 /// Section III-B2: with SETTINGS_INITIAL_WINDOW_SIZE = 0 the server must
 /// still send HEADERS (flow control governs DATA only).
@@ -287,8 +261,6 @@ struct ZeroWindowHeadersResult {
 };
 
 ZeroWindowHeadersResult probe_zero_window_headers(const Target& target);
-Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
-    const Target& target);
 
 /// Sections III-B3/III-B4: how the server reacts to a zero or overflowing
 /// WINDOW_UPDATE, on stream and connection scope.
@@ -318,8 +290,6 @@ struct WindowUpdateProbeResult {
 };
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target);
-Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
-    const Target& target);
 
 // ---------------------------------------------------------------- priority
 
@@ -339,7 +309,6 @@ struct PriorityProbeResult {
 };
 
 PriorityProbeResult probe_priority_mechanism(const Target& target);
-Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target);
 
 /// Algorithm 1's body, from the drain step on. Assumes @p client already
 /// has huge (2^31-1) stream windows planted, both automatic window updates
@@ -351,9 +320,6 @@ PriorityProbeResult run_priority_rounds(ClientConnection& client,
                                         server::Http2Server& server,
                                         net::Transport& transport,
                                         const net::ExchangeLimits& limits);
-Task<PriorityProbeResult> run_priority_rounds_task(
-    ClientConnection& client, server::Http2Server& server,
-    net::Transport& transport, net::ExchangeLimits limits);
 
 /// Section III-C2: PRIORITY frame making a stream depend on itself.
 struct SelfDependencyProbeResult {
@@ -361,8 +327,6 @@ struct SelfDependencyProbeResult {
 };
 
 SelfDependencyProbeResult probe_self_dependency(const Target& target);
-Task<SelfDependencyProbeResult> probe_self_dependency_task(
-    const Target& target);
 
 // ------------------------------------------------------------------ push
 
@@ -376,12 +340,11 @@ struct PushProbeResult {
 
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page = "/");
-Task<PushProbeResult> probe_server_push_task(const Target& target,
-                                             std::string page = "/");
 
 // ------------------------------------------------------------------ hpack
 
 /// Section III-E: H identical requests; compression ratio r of Equation 1.
+/// H < 1 measures nothing: ran stays false and no connection is opened.
 struct HpackProbeResult {
   bool ran = false;
   double ratio = 1.0;  ///< r = sum(S_i) / (S_1 * H)
@@ -390,8 +353,6 @@ struct HpackProbeResult {
 
 HpackProbeResult probe_hpack_ratio(const Target& target, int h = 8,
                                    const std::string& path = "/");
-Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h = 8,
-                                              std::string path = "/");
 
 // ------------------------------------------------------------------- ping
 

@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -52,7 +53,9 @@ void ProbeSession::ensure_baseline() {
   // promises) and the fresh HPACK probe (all H requests, §III-E's
   // sequential table-warming), so one pass yields all three readouts.
   ClientConnection& client = *scratch_->client;
-  const int requests = options_.expect_hpack ? options_.hpack_h : 1;
+  // At least one request: settings() and push() read request 1.
+  const int requests =
+      options_.expect_hpack ? std::max(1, options_.hpack_h) : 1;
   baseline_streams_.reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
     baseline_streams_.push_back(client.send_request("/"));
@@ -173,7 +176,7 @@ PushProbeResult ProbeSession::push() {
 
 HpackProbeResult ProbeSession::hpack_ratio() {
   ensure_baseline();
-  if (!baseline_clean_ || !options_.expect_hpack) {
+  if (!baseline_clean_ || !options_.expect_hpack || options_.hpack_h < 1) {
     return probe_hpack_ratio(target_, options_.hpack_h);
   }
   // Equation 1 over the baseline's response header sizes — computed with

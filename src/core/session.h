@@ -81,7 +81,9 @@ struct SessionScratch {
 class ProbeSession {
  public:
   struct Options {
-    int hpack_h = 8;  ///< H of Equation 1; also the baseline request count
+    /// H of Equation 1; also the baseline request count (at least one).
+    /// Below 1 hpack_ratio() reports ran = false, as probe_hpack_ratio does.
+    int hpack_h = 8;
     /// When false the baseline makes a single request (enough for the
     /// settings and push observations) and hpack_ratio() falls back to the
     /// fresh-connection probe. The scan sets this from its per-family
@@ -107,9 +109,10 @@ class ProbeSession {
 
  private:
   /// Establishes the shared connection and performs the baseline fetches:
-  /// Options::hpack_h sequential GETs of "/" (one when !expect_hpack) —
-  /// the byte-identical prefix of the fresh settings / push / hpack probe
-  /// conversations, observed once instead of three times.
+  /// max(1, Options::hpack_h) sequential GETs of "/" (one when
+  /// !expect_hpack) — the byte-identical prefix of the fresh settings /
+  /// push / hpack probe conversations, observed once instead of three
+  /// times.
   void ensure_baseline();
 
   const Target& target_;

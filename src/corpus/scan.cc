@@ -85,11 +85,10 @@ void ScanReport::merge(const ScanReport& other) {
 namespace {
 
 /// Drains the shared site cursor on the calling thread into @p r: each
-/// worker pulls the next unscanned site and drives its SiteTask to
-/// completion, servicing every park at once (simulated time is free to a
-/// blocking worker). The scratch is thread_local, so a thread that scans
-/// again — the caller is worker 0 of every call — starts with its client,
-/// engine, transport buffers, ring and fold scratch already sized.
+/// worker pulls the next unscanned site and scans it to completion. The
+/// scratch is thread_local, so a thread that scans again — the caller is
+/// worker 0 of every call — starts with its client, engine, transport
+/// buffers, ring and fold scratch already sized.
 void scan_sites(const Population& population, const ScanOptions& options,
                 std::atomic<std::size_t>& cursor, ScanReport& r) {
   thread_local SiteScratch scratch;
@@ -97,9 +96,7 @@ void scan_sites(const Population& population, const ScanOptions& options,
   for (;;) {
     const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
-    SiteTask task(population.sites[i], options, r, scratch);
-    while (!task.advance()) {
-    }
+    scan_site(population.sites[i], options, r, scratch);
   }
 }
 

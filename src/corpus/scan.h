@@ -2,8 +2,9 @@
 // synthetic population (the paper's H2Scope uses a thread pool the same
 // way, Section IV-B) and aggregates the observations into exactly the
 // quantities the paper's tables and figures report. Workers pull sites off
-// one shared cursor and drive each SiteTask to completion; the calling
-// thread is worker 0, so only threads - 1 helpers are spawned per call.
+// one shared cursor and scan each one to completion with plain blocking
+// calls (corpus/site_task.h); the calling thread is worker 0, so only
+// threads - 1 helpers are spawned per call.
 // Each worker's scratch is thread_local and stays warm across calls on the
 // same thread. The report is bitwise identical for any thread count.
 #pragma once

@@ -1,24 +1,19 @@
-// One in-flight scan site: the Section III probe sequence as a resumable
-// coroutine (core::Task), plus everything the site owns while in flight —
-// its Target, fault ledger, wiretap buffer, and sequence detector.
+// Scanning one site: wire it up (fault stream, ledger, wiretap, detector),
+// run the Section III probe sequence as plain function calls, and fold the
+// outcome into the scan report.
 //
-// The scan driver (corpus/scan.cc) drives each task to completion:
-// advance() in a loop, servicing each park at once. Parks still mark where
-// a stalled exchange or retry backoff would wait, and are booked into the
-// report's park metrics.
+// A faulted transport's stalled stretches are skipped inside
+// Transport::run, and retry backoff is simulated time; both are booked as
+// parks on the site's ExchangeLedger, which is where the report's park
+// metrics come from.
 #pragma once
 
-#include <cstdint>
-#include <optional>
+#include <vector>
 
-#include "core/probes.h"
 #include "core/session.h"
-#include "core/task.h"
 #include "corpus/population.h"
 #include "corpus/scan.h"
-#include "net/transport.h"
 #include "trace/annotate.h"
-#include "trace/detector.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
 
@@ -58,42 +53,9 @@ struct SiteScratch {
   }
 };
 
-class SiteTask {
- public:
-  /// Wires the site up (fault stream, wiretap, detector) but runs nothing:
-  /// the first advance() starts the probe sequence. @p scratch is borrowed
-  /// for this site's lifetime and reset here.
-  SiteTask(const SiteSpec& spec, const ScanOptions& opts, ScanReport& report,
-           SiteScratch& scratch);
-  SiteTask(const SiteTask&) = delete;
-  SiteTask& operator=(const SiteTask&) = delete;
-
-  /// Starts or resumes the probe sequence, servicing at most one park per
-  /// call. Returns true once the site finished and folded into the report;
-  /// false means the task parked.
-  bool advance();
-
- private:
-  core::Task<void> run();   ///< the probe sequence (negotiation gate + probes)
-  void book_wake(int parked);
-  void finish();            ///< outcome class + ledger + wiretap folds
-
-  const SiteSpec& spec_;
-  const ScanOptions& opts_;
-  ScanReport& r_;
-  SiteScratch& scratch_;
-  core::Target target_;
-  net::ExchangeLedger ledger_;
-  std::optional<trace::SequenceDetector> detector_;
-  core::TaskContext ctx_;
-  bool started_ = false;
-  bool finished_ = false;
-  // Park observability (one wake per park serviced), folded into
-  // ScanReport::wire_metrics at completion.
-  std::uint64_t wakeups_ = 0;
-  std::uint64_t parked_rounds_ = 0;
-  trace::Histogram park_hist_;
-  core::Task<void> task_;   ///< last: frames reference the members above
-};
+/// Scans one site into @p report: wires it up, runs the probe sequence and
+/// folds the result. @p scratch is borrowed for the call and reset first.
+void scan_site(const SiteSpec& spec, const ScanOptions& opts,
+               ScanReport& report, SiteScratch& scratch);
 
 }  // namespace h2r::corpus

@@ -1,13 +1,11 @@
 // Where parked exchanges sleep.
 //
-// Every exchange is split into resumable steps (net::ExchangeDriver) so a
-// parked connection costs nothing until something readies it. What "ready"
-// means is a property of the driver, not of the exchange: the scan services
-// a park at once (simulated rounds are free), while the real-socket serving
-// loop (src/netio) wakes it on epoll readiness and keeps deadlines
-// (connect timeouts, shutdown drains) on this wheel. TimerWheel is a
-// tick-ordered park structure whose drain order is a pure function of
-// (tick, insertion order).
+// The real-socket serving loop (src/netio) drives its exchanges in
+// resumable steps (net::ExchangeDriver), wakes them on epoll readiness, and
+// keeps deadlines (connect timeouts, shutdown drains) on this wheel. The
+// scan needs none of this: its simulated stalls are skipped inline by
+// Transport::run. TimerWheel is a tick-ordered park structure whose drain
+// order is a pure function of (tick, insertion order).
 #pragma once
 
 #include <cstdint>

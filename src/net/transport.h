@@ -189,10 +189,14 @@ struct ExchangeLedger {
   std::uint64_t deadline_hits = 0;
   double backoff_ms = 0.0;  ///< simulated retry backoff, accumulated
 
-  // Parking (ExchangeDriver): a stall held delivery, so the driver skipped
-  // the dead rounds in one step instead of spinning the pump through them.
-  // Booked identically by the sequential and event-loop scan drivers — the
-  // park points are a property of the exchange, not of who resumes it.
+  // Parking. In the scan, Transport::run parks inline: a stall held
+  // delivery, so it skipped the dead rounds in one step instead of spinning
+  // the pump through them, and booked the stretch here. Each retry backoff
+  // of at least one round is booked here too (core::probe_with_retry). The
+  // park points are a property of the exchange, so the counts are the same
+  // for any thread count. (netio is the readiness driver: it drives
+  // ExchangeDriver from epoll, where a park means "wait for the socket",
+  // and its connections carry no ledger.)
   std::uint64_t parks = 0;          ///< park events on this site's exchanges
   std::uint64_t parked_rounds = 0;  ///< rounds skipped while parked
   std::vector<int> park_durations;  ///< per-park skipped rounds, in order
@@ -249,9 +253,8 @@ class Transport {
 
   /// Pumps bytes both ways until quiescent, a fault ends the connection, or
   /// a deadline trips. Never hangs: every exit path is bounded by @p limits.
-  /// Implemented on the resumable ExchangeDriver with parked stretches
-  /// skipped inline, so it stays bit-identical to driving the exchange from
-  /// an event loop.
+  /// Implemented on ExchangeDriver with each parked stretch skipped inline
+  /// (round marks, stall countdowns and the ledger's park entry included).
   ExchangeResult run_endpoints(Endpoint& client, Endpoint& server,
                                const ExchangeLimits& limits = {});
 
@@ -310,12 +313,12 @@ class Transport {
   ExchangeLedger* ledger_;
 };
 
-/// One connection's exchange broken into resumable steps, so an event loop
-/// can multiplex thousands of in-flight exchanges and park the stalled ones
-/// instead of spinning their pumps. Transport::run_endpoints is a driver
-/// run to completion with parks skipped inline — by construction the two
-/// ways of driving an exchange are bit-identical (rounds, byte counts,
-/// trace events, ledger accounting).
+/// One connection's exchange broken into resumable steps. netio is the
+/// readiness driver: its epoll loops (serving and the load generator) pump
+/// each socket exchange when the socket is ready and leave it parked
+/// until then. The scan parks inline: Transport::run_endpoints is a driver
+/// run to completion with each park unparked at once, so both share one
+/// round loop (rounds, byte counts, trace events, ledger accounting).
 ///
 /// Lifecycle: pump() advances rounds until the exchange parks or finishes.
 /// While kParked, park_rounds() says how many virtual rounds the exchange

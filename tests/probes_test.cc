@@ -264,6 +264,15 @@ TEST(HpackProbe, CookieChurnPushesRatioAboveOne) {
   EXPECT_GT(r.ratio, 1.0);  // the sites the paper filters out (§V-G)
 }
 
+TEST(HpackProbe, NoRequestsMeasuresNothing) {
+  // Equation 1 divides by S_1, so H < 1 has no ratio to report.
+  for (const int h : {0, -1}) {
+    const auto r = probe_hpack_ratio(testbed("h2o"), h);
+    EXPECT_FALSE(r.ran) << h;
+    EXPECT_TRUE(r.header_sizes.empty()) << h;
+  }
+}
+
 TEST(PingProbe, AllTestbedServersAnswer) {
   Rng rng(1);
   for (const auto& p : server::testbed_profiles()) {

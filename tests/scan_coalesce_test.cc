@@ -59,6 +59,26 @@ TEST(ScanCoalesce, ReportMatchesSequentialUnderFaultInjection) {
   EXPECT_GT(a.fault_injected, 0u);  // the chaos path actually ran
 }
 
+TEST(ScanCoalesce, ZeroHpackRequestsMatchSequentialScan) {
+  // hpack_h = 0 asks for no HPACK requests. The shared connection still
+  // makes its one baseline request (the settings and push readouts need
+  // it), and both paths report no HPACK sample.
+  const Population pop = generate_population(Epoch::kExp2, 7, /*scale=*/1000);
+  ScanOptions sequential;
+  sequential.coalesce = false;
+  sequential.hpack_h = 0;
+  sequential.threads = 2;
+  ScanOptions coalesced = sequential;
+  coalesced.coalesce = true;
+
+  const ScanReport a = scan_population(pop, sequential);
+  const ScanReport b = scan_population(pop, coalesced);
+  EXPECT_EQ(fingerprint(a), fingerprint(b));
+  EXPECT_EQ(a.hpack_sample_size(), 0u);
+  EXPECT_EQ(a.hpack_filtered_out, 0u);
+  EXPECT_GT(a.responding_sites, 0u);
+}
+
 TEST(ScanCoalesce, WiretapTracesUnaffectedByCoalesceFlag) {
   // The wiretap's frame record depends on the connection layout, so a
   // recording scan also stays sequential: traces and wire metrics must be

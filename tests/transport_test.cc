@@ -3,6 +3,8 @@
 // Target / probe_with_retry wiring on top.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/client.h"
 #include "core/probes.h"
 #include "net/transport.h"
@@ -149,9 +151,35 @@ TEST(ProbeWithRetry, RetriesFaultedAttemptsAndBooksBackoff) {
   EXPECT_EQ(result, 3);  // the final attempt's value is returned
   EXPECT_EQ(ledger.retries, 2u);
   EXPECT_DOUBLE_EQ(ledger.backoff_ms, 50.0 + 100.0);
+  // Each backoff is booked as a park of that many virtual rounds.
+  EXPECT_EQ(ledger.parks, 2u);
+  EXPECT_EQ(ledger.parked_rounds, 150u);
+  EXPECT_EQ(ledger.park_durations, (std::vector<int>{50, 100}));
   // The failed attempts' flags were dropped: only the clean final attempt
   // settles into the per-site classification.
   EXPECT_FALSE(ledger.final_truncated);
+}
+
+TEST(ProbeWithRetry, SubRoundBackoffBooksNoPark) {
+  core::Target target = core::Target::testbed(server::h2o_profile());
+  net::ExchangeLedger ledger;
+  target.ledger = &ledger;
+  core::RetryPolicy policy;
+  policy.backoff_base_ms = 0.5;
+
+  int calls = 0;
+  (void)core::probe_with_retry(target, policy, [&] {
+    ++calls;
+    if (calls < 2) ledger.attempt_truncated = true;
+    return calls;
+  });
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(ledger.retries, 1u);
+  EXPECT_DOUBLE_EQ(ledger.backoff_ms, 0.5);
+  // Less than one whole round of backoff is not a park.
+  EXPECT_EQ(ledger.parks, 0u);
+  EXPECT_EQ(ledger.parked_rounds, 0u);
+  EXPECT_TRUE(ledger.park_durations.empty());
 }
 
 TEST(ProbeWithRetry, ExhaustedAttemptsSettleTheFault) {
